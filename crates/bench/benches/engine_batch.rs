@@ -7,20 +7,13 @@
 //!   call per process per tick (the pre-scaling baseline API);
 //! * `sharded_xN` — the same workload through
 //!   `ShardedEngine::observe_batch` with `N` shards (one tick = one batch),
-//!   scoped-spawn execution: fresh threads per tick on multi-core hosts;
-//! * `pool_xN` — the same `N`-shard workload through the persistent worker
-//!   pool (`ExecutionMode::Pool`): long-lived workers fed over channels,
-//!   no per-tick spawns. `sharded_xN` vs `pool_xN` at the same `N` is the
-//!   spawn-per-tick vs persistent-workers comparison — measured, not
-//!   asserted;
-//! * `ingest_xN` / `ingest_pool_xN` — the same workload through the async
-//!   ingest tier: every tick publishes the batch into the bounded
-//!   per-shard rings (`OverflowPolicy::Block`, capacity sized so nothing
-//!   blocks) and drains it back with `drain_batch`. Against `sharded_xN`
-//!   at the same `N` this prices the queue hop + publish-order merge the
-//!   decoupling costs; the pool variants additionally route the drain
-//!   through the persistent workers (each draining its own shards in
-//!   place);
+//!   fresh scoped threads per tick on multi-core hosts;
+//! * `ingest_xN` — the same workload through the async ingest tier: every
+//!   tick publishes the batch into the bounded per-shard rings
+//!   (`OverflowPolicy::Block`, capacity sized so nothing blocks) and
+//!   drains it back with `drain_batch`. Against `sharded_xN` at the same
+//!   `N` this prices the queue hop + publish-order merge the decoupling
+//!   costs;
 //! * `fusion_xN` — the same workload carried as `Verdict`s through the
 //!   weighted-evidence fusion tier (`observe_verdict_batch`) under the
 //!   degenerate unit-weight/BINARY-ladder config. Against `sharded_xN` at
@@ -43,8 +36,7 @@
 //! terminating (`N*` is set beyond the horizon). Timings are per tick;
 //! divide the fleet size by the printed time for observations/second.
 //! Shard speedups require hardware parallelism — on a single-core runner
-//! `sharded_xN` only measures the partition/scatter overhead, and
-//! `pool_xN` the channel round-trips on top of it.
+//! `sharded_xN` only measures the partition/scatter overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use valkyrie_core::prelude::*;
@@ -122,22 +114,6 @@ fn bench_fleet(c: &mut Criterion, label: &str, procs: u64) {
     }
 
     for shards in [1usize, 2, 4, 8] {
-        group.bench_function(format!("pool_x{shards}").as_str(), |b| {
-            let mut engine = ShardedEngine::with_mode(
-                engine_config(n_star),
-                shards,
-                procs as usize,
-                ExecutionMode::Pool,
-            );
-            let mut epoch = 0usize;
-            b.iter(|| {
-                epoch += 1;
-                black_box(engine.observe_batch(black_box(&ring[epoch % 7])))
-            });
-        });
-    }
-
-    for shards in [1usize, 2, 4, 8] {
         group.bench_function(format!("ingest_x{shards}").as_str(), |b| {
             let mut engine =
                 ShardedEngine::with_capacity(engine_config(n_star), shards, procs as usize);
@@ -200,24 +176,6 @@ fn bench_fleet(c: &mut Criterion, label: &str, procs: u64) {
             b.iter(|| {
                 epoch += 1;
                 black_box(engine.observe_batch(black_box(&fleet_ring[epoch % 7])))
-            });
-        });
-    }
-
-    for shards in [1usize, 4] {
-        group.bench_function(format!("ingest_pool_x{shards}").as_str(), |b| {
-            let mut engine = ShardedEngine::with_mode(
-                engine_config(n_star),
-                shards,
-                procs as usize,
-                ExecutionMode::Pool,
-            );
-            let publisher = engine.enable_ingest(procs as usize, OverflowPolicy::Block);
-            let mut epoch = 0usize;
-            b.iter(|| {
-                epoch += 1;
-                publisher.publish_batch(black_box(&ring[epoch % 7]));
-                black_box(engine.drain_batch())
             });
         });
     }
@@ -288,46 +246,40 @@ fn bench_flood(c: &mut Criterion) {
 
 /// The epoch driver with churn: attacks terminate and are purged while
 /// fresh pids keep arriving, so the map is exercised under registration +
-/// eviction pressure, not just steady-state lookups — in both execution
-/// modes (`sharded_*` = scoped spawns, `pool_*` = persistent workers).
+/// eviction pressure, not just steady-state lookups.
 fn bench_tick_with_churn(c: &mut Criterion) {
     let mut group = c.benchmark_group("core/engine_batch_tick_churn");
-    for (mode, label) in [
-        (ExecutionMode::ScopedSpawn, "sharded"),
-        (ExecutionMode::Pool, "pool"),
-    ] {
-        for shards in [1usize, 4] {
-            group.bench_function(format!("{label}_x{shards}_10k").as_str(), |b| {
-                let config = EngineConfig::builder()
-                    .measurements_required(3)
-                    .actuator(ShareActuator::scheduler_weight(0.1, 0.01))
-                    .build()
-                    .unwrap();
-                let mut engine = ShardedEngine::with_mode(config, shards, 10_000, mode);
-                let mut epoch = 0u64;
-                b.iter(|| {
-                    epoch += 1;
-                    // A rotating 1/64 slice of the pid space is attacked every
-                    // epoch; terminated pids are purged by `tick` and replaced
-                    // by their successors the next epoch. The pid base shifts
-                    // over time, so the batch is assembled inside the timed
-                    // loop — identically for every shard count, which keeps
-                    // the x1-vs-x4 comparison fair.
-                    let batch: Vec<(ProcessId, Classification)> = (0..10_000u64)
-                        .map(|i| {
-                            let pid = ProcessId(i + (epoch / 8) * 157);
-                            let cls = if (i + epoch).is_multiple_of(64) {
-                                Classification::Malicious
-                            } else {
-                                Classification::Benign
-                            };
-                            (pid, cls)
-                        })
-                        .collect();
-                    black_box(engine.tick(black_box(&batch)))
-                });
+    for shards in [1usize, 4] {
+        group.bench_function(format!("sharded_x{shards}_10k").as_str(), |b| {
+            let config = EngineConfig::builder()
+                .measurements_required(3)
+                .actuator(ShareActuator::scheduler_weight(0.1, 0.01))
+                .build()
+                .unwrap();
+            let mut engine = ShardedEngine::with_capacity(config, shards, 10_000);
+            let mut epoch = 0u64;
+            b.iter(|| {
+                epoch += 1;
+                // A rotating 1/64 slice of the pid space is attacked every
+                // epoch; terminated pids are purged by `tick` and replaced
+                // by their successors the next epoch. The pid base shifts
+                // over time, so the batch is assembled inside the timed
+                // loop — identically for every shard count, which keeps
+                // the x1-vs-x4 comparison fair.
+                let batch: Vec<(ProcessId, Classification)> = (0..10_000u64)
+                    .map(|i| {
+                        let pid = ProcessId(i + (epoch / 8) * 157);
+                        let cls = if (i + epoch).is_multiple_of(64) {
+                            Classification::Malicious
+                        } else {
+                            Classification::Benign
+                        };
+                        (pid, cls)
+                    })
+                    .collect();
+                black_box(engine.tick(black_box(&batch)))
             });
-        }
+        });
     }
     group.finish();
 }

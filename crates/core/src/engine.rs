@@ -7,9 +7,9 @@
 //! per process.
 //!
 //! The per-process bookkeeping lives in [`EngineShard`]: one process map
-//! plus the observe path. [`ValkyrieEngine`] is a single shard behind the
-//! original one-process-at-a-time API; the scaling tier in
-//! [`crate::sharded`] runs many shards side by side behind a batch API.
+//! plus the observe path. [`ValkyrieEngine`] is the paper's name for one
+//! shard; the scaling tier in [`crate::sharded`] runs many shards side by
+//! side behind a batch API.
 
 use crate::actuator::{Actuator, CompositeActuator, ShareActuator};
 use crate::efficacy::{EfficacyCurve, EfficacySpec};
@@ -714,8 +714,8 @@ impl<A: Actuator + Clone> EngineShard<A> {
     }
 }
 
-/// The Valkyrie response engine (paper Fig. 2): a single [`EngineShard`]
-/// behind the original per-process API.
+/// The Valkyrie response engine (paper Fig. 2): one [`EngineShard`], the
+/// original per-process API under its paper name.
 ///
 /// Processes are tracked lazily: the first observation of an unknown
 /// [`ProcessId`] registers it in the *normal* state with full resources.
@@ -737,141 +737,7 @@ impl<A: Actuator + Clone> EngineShard<A> {
 /// assert_eq!(resp.action, Action::Throttle);
 /// assert!(resp.resources.cpu < 1.0);
 /// ```
-#[derive(Debug)]
-pub struct ValkyrieEngine<A: Actuator + Clone = CompositeActuator> {
-    shard: EngineShard<A>,
-}
-
-impl<A: Actuator + Clone> ValkyrieEngine<A> {
-    /// Creates an engine from a configuration.
-    pub fn new(config: EngineConfig<A>) -> Self {
-        Self {
-            shard: EngineShard::new(config),
-        }
-    }
-
-    /// Creates an engine pre-sized for `capacity` processes (see
-    /// [`EngineShard::with_capacity`]).
-    pub fn with_capacity(config: EngineConfig<A>, capacity: usize) -> Self {
-        Self {
-            shard: EngineShard::with_capacity(config, capacity),
-        }
-    }
-
-    /// Creates an engine with a non-composite actuator prototype.
-    pub fn with_actuator(n_star: u64, fp: AssessmentFn, fc: AssessmentFn, actuator: A) -> Self {
-        Self::new(EngineConfig {
-            n_star,
-            fp,
-            fc,
-            actuator,
-            cyclic: false,
-            fusion: FusionConfig::default(),
-        })
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig<A> {
-        self.shard.config()
-    }
-
-    /// Number of processes currently tracked, **terminated ones included**
-    /// (they stay queryable until purged). Live count: [`Self::tracked_live`].
-    pub fn tracked(&self) -> usize {
-        self.shard.tracked()
-    }
-
-    /// Number of tracked processes that have not terminated.
-    pub fn tracked_live(&self) -> usize {
-        self.shard.tracked_live()
-    }
-
-    /// Current state of a process, if tracked.
-    pub fn state(&self, pid: ProcessId) -> Option<ProcessState> {
-        self.shard.state(pid)
-    }
-
-    /// Current threat index of a process, if tracked.
-    pub fn threat(&self, pid: ProcessId) -> Option<ThreatIndex> {
-        self.shard.threat(pid)
-    }
-
-    /// Current resource shares of a process, if tracked.
-    pub fn resources(&self, pid: ProcessId) -> Option<ResourceVector> {
-        self.shard.resources(pid)
-    }
-
-    /// Feeds one epoch's detector inference for `pid` and returns the
-    /// response to enact.
-    pub fn observe(&mut self, pid: ProcessId, inference: Classification) -> EngineResponse {
-        self.shard.observe(pid, inference)
-    }
-
-    /// Batch variant of [`Self::observe`]; responses are in input order.
-    pub fn observe_batch(&mut self, batch: &[(ProcessId, Classification)]) -> Vec<EngineResponse> {
-        self.shard.observe_batch(batch)
-    }
-
-    /// Advances a process by one fused evidence mass (see
-    /// [`EngineShard::observe_mass`]).
-    pub fn observe_mass(&mut self, pid: ProcessId, mass: f64) -> EngineResponse {
-        self.shard.observe_mass(pid, mass)
-    }
-
-    /// Absorbs a per-detector verdict and immediately fuses the process's
-    /// evidence (see [`EngineShard::observe_verdict`]).
-    pub fn observe_verdict(&mut self, pid: ProcessId, verdict: Verdict) -> EngineResponse {
-        self.shard.observe_verdict(pid, verdict)
-    }
-
-    /// Absorbs a verdict without stepping the monitor (see
-    /// [`EngineShard::absorb_verdict`]).
-    pub fn absorb_verdict(&mut self, pid: ProcessId, verdict: Verdict) {
-        self.shard.absorb_verdict(pid, verdict)
-    }
-
-    /// Fuses all pending evidence: one monitor step and response per
-    /// process with fresh verdicts (see [`EngineShard::fuse_step_into`]).
-    pub fn fuse_step(&mut self) -> Vec<EngineResponse> {
-        self.shard.fuse_step()
-    }
-
-    /// Fusion-tier telemetry counters.
-    pub fn fusion_stats(&self) -> &FusionStats {
-        self.shard.fusion_stats()
-    }
-
-    /// Marks a process as completed (Fig. 3: completion terminates it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValkyrieError::UnknownProcess`] when `pid` is not tracked.
-    pub fn complete(&mut self, pid: ProcessId) -> Result<(), ValkyrieError> {
-        self.shard.complete(pid)
-    }
-
-    /// Stops tracking a process and frees its bookkeeping.
-    pub fn forget(&mut self, pid: ProcessId) {
-        self.shard.forget(pid)
-    }
-
-    /// Evicts every terminated process, returning how many were dropped
-    /// (see [`EngineShard::purge_terminated`]).
-    pub fn purge_terminated(&mut self) -> usize {
-        self.shard.purge_terminated()
-    }
-
-    /// Iterates over `(pid, state, threat)` of all tracked processes.
-    pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
-        self.shard.iter()
-    }
-
-    /// Consumes the engine, returning its single shard (used by the
-    /// scaling tier to promote an engine into a sharded deployment).
-    pub fn into_shard(self) -> EngineShard<A> {
-        self.shard
-    }
-}
+pub type ValkyrieEngine<A = CompositeActuator> = EngineShard<A>;
 
 #[cfg(test)]
 mod tests {
@@ -1124,15 +990,6 @@ mod tests {
         assert_eq!(first, second);
     }
 
-    #[test]
-    fn into_shard_preserves_tracking() {
-        let mut e = engine(10);
-        e.observe(ProcessId(3), Malicious);
-        let shard = e.into_shard();
-        assert_eq!(shard.tracked(), 1);
-        assert_eq!(shard.state(ProcessId(3)), Some(ProcessState::Suspicious));
-    }
-
     fn fusion_engine(n_star: u64, fusion: FusionConfig) -> ValkyrieEngine {
         let config = EngineConfig::builder()
             .measurements_required(n_star)
@@ -1276,20 +1133,16 @@ mod tests {
 
     #[test]
     fn observe_verdict_batch_orders_responses_by_first_arrival() {
-        let e = fusion_engine(10, FusionConfig::default());
+        let mut e = fusion_engine(10, FusionConfig::default());
         let batch = vec![
             (ProcessId(3), Verdict::new(0, 1.0)),
             (ProcessId(1), Verdict::new(0, 0.0)),
             (ProcessId(3), Verdict::new(1, 1.0)),
         ];
-        let shard = {
-            let mut shard = e.into_shard();
-            let r = shard.observe_verdict_batch(&batch);
-            assert_eq!(r.len(), 2, "two processes, three verdicts");
-            assert_eq!(r[0].pid, ProcessId(3));
-            assert_eq!(r[1].pid, ProcessId(1));
-            shard
-        };
-        assert_eq!(shard.tracked(), 2);
+        let r = e.observe_verdict_batch(&batch);
+        assert_eq!(r.len(), 2, "two processes, three verdicts");
+        assert_eq!(r[0].pid, ProcessId(3));
+        assert_eq!(r[1].pid, ProcessId(1));
+        assert_eq!(e.tracked(), 2);
     }
 }

@@ -4,8 +4,8 @@
 //! shards; a [`FleetEngine`] scales a *cluster* across machine groups. The
 //! hierarchy is deliberate — rather than one flat shard space over every
 //! pid in the fleet, observations are first routed by **machine id** to a
-//! group (each group a full `ShardedEngine` with its own shards, scratch,
-//! ingest rings and optional worker pool), then by pid within the group.
+//! group (each group a full `ShardedEngine` with its own shards, scratch
+//! and ingest rings), then by pid within the group.
 //! Two properties fall out of that shape:
 //!
 //! - **The single-machine path is a strict special case.** A fleet of one
@@ -52,9 +52,7 @@ use crate::error::ValkyrieError;
 use crate::hash::shard_of;
 use crate::ingest::{CoalesceKey, IngestDefense, IngestPublisher, OverflowPolicy};
 use crate::resource::{ProcessId, ResourceVector};
-use crate::sharded::{
-    partition_by_into, scatter_to_input_order, shrink_slot, ExecutionMode, ShardedEngine,
-};
+use crate::sharded::{partition_by_into, scatter_to_input_order, shrink_slot, ShardedEngine};
 use crate::state::ProcessState;
 use crate::telemetry::{FusionStats, IngestStats};
 use crate::threat::{Classification, ThreatIndex, Verdict};
@@ -478,26 +476,6 @@ impl<A: Actuator + Clone + Send> FleetEngine<A> {
     /// group by group (no global ordering).
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, ProcessState, ThreatIndex)> + '_ {
         self.groups.iter().flat_map(ShardedEngine::iter)
-    }
-}
-
-impl<A: Actuator + Clone + Send + 'static> FleetEngine<A> {
-    /// Switches every group's execution mode in place (see
-    /// [`ShardedEngine::set_execution_mode`]). Note the worker budget
-    /// multiplies: `groups × min(shards_per_group, cores)` persistent
-    /// threads in [`ExecutionMode::Pool`].
-    pub fn set_execution_mode(&mut self, mode: ExecutionMode) {
-        for group in &mut self.groups {
-            group.set_execution_mode(mode);
-        }
-    }
-
-    /// (Re)builds every group's pool with `workers` threads each (see
-    /// [`ShardedEngine::set_pool_workers`]).
-    pub fn set_pool_workers(&mut self, workers: usize) {
-        for group in &mut self.groups {
-            group.set_pool_workers(workers);
-        }
     }
 }
 

@@ -86,8 +86,7 @@ pub fn mix64(mut x: u64) -> u64 {
 }
 
 /// The owning partition for a `u64` key among `nparts`: `mix64(key) %
-/// nparts`, a pure function of the key — stable across runs, platforms and
-/// execution modes.
+/// nparts`, a pure function of the key — stable across runs and platforms.
 ///
 /// This is **the** routing rule of the scaling tier, defined once so the
 /// placement used by the batch path

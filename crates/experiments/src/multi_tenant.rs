@@ -62,10 +62,8 @@ pub struct MultiTenantConfig {
     pub verdict_fpr: f64,
     /// RNG seed for the detection streams.
     pub seed: u64,
-    /// How the engine fans each tick over its shards: per-tick scoped
-    /// threads, or the persistent worker pool (the steady-state winner for
-    /// a machine that ticks every epoch at fleet scale). The security
-    /// outcome is identical either way.
+    /// Has no effect: [`ExecutionMode`] has a single variant. Kept only
+    /// because the benchmark harness (`perfbench/`) still sets it.
     pub execution: ExecutionMode,
     /// `Some` runs the detector tier asynchronously (slow, jittery
     /// verdict publication through the ingest rings); `None` keeps the
@@ -362,12 +360,8 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
         });
     }
     let config = builder.build().expect("valid multi-tenant config");
-    let mut engine = ShardedEngine::with_mode(
-        config,
-        cfg.shards.max(1),
-        cfg.benign_procs + cfg.attacks,
-        cfg.execution,
-    );
+    let mut engine =
+        ShardedEngine::with_capacity(config, cfg.shards.max(1), cfg.benign_procs + cfg.attacks);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     let mut benign: Vec<BenignProc> = fleet_roster(cfg.benign_procs)
@@ -765,13 +759,12 @@ pub fn run(cfg: &MultiTenantConfig) -> MultiTenantResult {
     };
     let report = format!(
         "Multi-tenant machine — {} benign + {} attacks over {} epochs, \
-         {} shards ({:?} execution), N* = {}\n\
+         {} shards, N* = {}\n\
          ({} observations through ShardedEngine::{}; {})\n\n{}",
         cfg.benign_procs,
         cfg.attacks,
         cfg.epochs,
         cfg.shards,
-        cfg.execution,
         cfg.n_star,
         observations,
         if cfg.ingest.is_some() || cfg.fusion.is_some() {
@@ -855,24 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_execution_does_not_change_the_outcome() {
-        let base = MultiTenantConfig::quick();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.benign_slowdown_pct, pooled.benign_slowdown_pct);
-        assert_eq!(scoped.benign_completed, pooled.benign_completed);
-        assert_eq!(scoped.peak_tracked, pooled.peak_tracked);
-        assert_eq!(scoped.purged, pooled.purged);
-        assert_eq!(scoped.observations, pooled.observations);
-    }
-
-    #[test]
     fn report_renders() {
         let r = run(&MultiTenantConfig::quick());
         assert!(r.report.contains("Multi-tenant machine"));
@@ -928,23 +903,6 @@ mod tests {
         assert_eq!(a.ingest, b.ingest);
     }
 
-    #[test]
-    fn async_ingest_outcome_is_execution_mode_invariant() {
-        let base = MultiTenantConfig::quick_async();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.benign_slowdown_pct, pooled.benign_slowdown_pct);
-        assert_eq!(scoped.observations, pooled.observations);
-        assert_eq!(scoped.purged, pooled.purged);
-        assert_eq!(scoped.ingest, pooled.ingest);
-    }
-
     /// The fused pair: a fast-weak member (70% TPR, bursty-benign FPR)
     /// alone would be unusable, but fused with the slow-strong member it
     /// still kills every attack — and the graduated ladder only kills when
@@ -985,20 +943,6 @@ mod tests {
         assert_eq!(a.benign_killed_pct, b.benign_killed_pct);
         assert_eq!(a.observations, b.observations);
         assert_eq!(a.fusion_stats, b.fusion_stats);
-    }
-
-    #[test]
-    fn fused_tier_outcome_is_execution_mode_invariant() {
-        let base = MultiTenantConfig::quick_fused();
-        let scoped = run(&base);
-        let pooled = run(&MultiTenantConfig {
-            execution: ExecutionMode::Pool,
-            ..base
-        });
-        assert_eq!(scoped.attacks_terminated, pooled.attacks_terminated);
-        assert_eq!(scoped.mean_epochs_to_kill, pooled.mean_epochs_to_kill);
-        assert_eq!(scoped.benign_killed_pct, pooled.benign_killed_pct);
-        assert_eq!(scoped.fusion_stats, pooled.fusion_stats);
     }
 
     #[test]

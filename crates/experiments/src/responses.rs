@@ -40,8 +40,8 @@ use valkyrie_core::baselines::{
 };
 use valkyrie_core::migration::{migration_progress, MigrationPolicy};
 use valkyrie_core::{
-    slowdown_percent, Action, AssessmentFn, Classification, EngineConfig, ExecutionMode, ProcessId,
-    ProcessState, ShardedEngine, ShareActuator,
+    slowdown_percent, Action, AssessmentFn, Classification, EngineConfig, ProcessId, ProcessState,
+    ShardedEngine, ShareActuator,
 };
 
 /// Detector quality and workload shape shared by all policies.
@@ -67,10 +67,6 @@ pub struct ResponsesConfig {
     pub benign_trials: u64,
     /// Valkyrie's measurement requirement.
     pub n_star: u64,
-    /// How the fleet engine fans batches over its shards (scoped per-tick
-    /// threads or the persistent worker pool); rows are identical either
-    /// way — the scaling tier's equivalence guarantee.
-    pub execution: ExecutionMode,
 }
 
 impl Default for ResponsesConfig {
@@ -90,7 +86,6 @@ impl Default for ResponsesConfig {
             benign_epochs: 300,
             benign_trials: 40,
             n_star: 30,
-            execution: ExecutionMode::ScopedSpawn,
         }
     }
 }
@@ -205,7 +200,6 @@ fn valkyrie_eval_fleet(
     verdict_traces: &[&[Classification]],
     n_star: u64,
     shards: usize,
-    execution: ExecutionMode,
 ) -> Vec<PolicyEval> {
     assert_eq!(epoch_traces.len(), verdict_traces.len());
     for (epochs, verdicts) in epoch_traces.iter().zip(verdict_traces) {
@@ -216,12 +210,8 @@ fn valkyrie_eval_fleet(
             epochs.len()
         );
     }
-    let mut engine = ShardedEngine::with_mode(
-        valkyrie_config(n_star),
-        shards,
-        epoch_traces.len(),
-        execution,
-    );
+    let mut engine =
+        ShardedEngine::with_capacity(valkyrie_config(n_star), shards, epoch_traces.len());
     let mut evals: Vec<PolicyEval> = epoch_traces
         .iter()
         .map(|t| PolicyEval {
@@ -231,8 +221,7 @@ fn valkyrie_eval_fleet(
         .collect();
     // Per-process state and CPU share mirrored from each tick's responses,
     // so the driver never issues per-pid `engine.state()`/`resources()`
-    // queries — in pool mode each of those is a blocking channel
-    // round-trip, serialised across the whole fleet every epoch.
+    // queries (a hash lookup each, across the whole fleet every epoch).
     let mut states: Vec<Option<ProcessState>> = vec![None; epoch_traces.len()];
     let mut cpu_shares: Vec<f64> = vec![1.0; epoch_traces.len()];
     let horizon = epoch_traces.iter().map(|t| t.len()).max().unwrap_or(0);
@@ -278,14 +267,7 @@ fn valkyrie_eval(
     verdicts: &[Classification],
     n_star: u64,
 ) -> PolicyEval {
-    valkyrie_eval_fleet(
-        &[epoch_trace],
-        &[verdicts],
-        n_star,
-        1,
-        ExecutionMode::ScopedSpawn,
-    )
-    .remove(0)
+    valkyrie_eval_fleet(&[epoch_trace], &[verdicts], n_star, 1).remove(0)
 }
 
 fn evaluate(
@@ -369,7 +351,7 @@ pub fn run(cfg: &ResponsesConfig) -> ResponsesResult {
             let traces: Vec<&[Classification]> = benign_traces.iter().map(Vec::as_slice).collect();
             let verdicts: Vec<&[Classification]> =
                 benign_verdicts.iter().map(Vec::as_slice).collect();
-            valkyrie_eval_fleet(&traces, &verdicts, cfg.n_star, 4, cfg.execution)
+            valkyrie_eval_fleet(&traces, &verdicts, cfg.n_star, 4)
         } else {
             benign_traces
                 .iter()
@@ -579,25 +561,12 @@ mod tests {
             .collect();
         let trace_refs: Vec<&[Classification]> = traces.iter().map(Vec::as_slice).collect();
         let verdict_refs: Vec<&[Classification]> = verdicts.iter().map(Vec::as_slice).collect();
-        for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-            let fleet = valkyrie_eval_fleet(&trace_refs, &verdict_refs, cfg.n_star, 7, mode);
-            for (i, eval) in fleet.iter().enumerate() {
-                let alone = valkyrie_eval(&traces[i], &verdicts[i], cfg.n_star);
-                assert_eq!(eval.terminated, alone.terminated, "trial {i}, {mode:?}");
-                assert_eq!(eval.progress, alone.progress, "trial {i}, {mode:?}");
-            }
+        let fleet = valkyrie_eval_fleet(&trace_refs, &verdict_refs, cfg.n_star, 7);
+        for (i, eval) in fleet.iter().enumerate() {
+            let alone = valkyrie_eval(&traces[i], &verdicts[i], cfg.n_star);
+            assert_eq!(eval.terminated, alone.terminated, "trial {i}");
+            assert_eq!(eval.progress, alone.progress, "trial {i}");
         }
-    }
-
-    #[test]
-    fn pool_execution_reproduces_the_scoped_table() {
-        let scoped = run(&quick());
-        let pooled = run(&ResponsesConfig {
-            execution: ExecutionMode::Pool,
-            ..quick()
-        });
-        assert_eq!(scoped.rows, pooled.rows);
-        assert_eq!(scoped.rowhammer, pooled.rowhammer);
     }
 
     #[test]

@@ -269,69 +269,65 @@ fn response_log_stays_consistent_under_process_churn() {
 fn stalled_detector_never_stalls_the_drain_tick_driver() {
     use std::sync::mpsc;
 
-    for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-        let mut e = ShardedEngine::with_mode(
-            EngineConfig::builder()
-                .measurements_required(3)
-                .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
-                .cyclic(true)
-                .build()
-                .unwrap(),
-            4,
-            0,
-            mode,
-        );
-        let publisher = e.enable_ingest(64, OverflowPolicy::Block);
-        let watched = ProcessId(1); // served by the healthy detector
-        let stalled_pid = ProcessId(2); // its detector wedges immediately
+    let mut e = ShardedEngine::new(
+        EngineConfig::builder()
+            .measurements_required(3)
+            .actuator(ShareActuator::cpu_percent_point(0.10, 0.01))
+            .cyclic(true)
+            .build()
+            .unwrap(),
+        4,
+    );
+    let publisher = e.enable_ingest(64, OverflowPolicy::Block);
+    let watched = ProcessId(1); // served by the healthy detector
+    let stalled_pid = ProcessId(2); // its detector wedges immediately
 
-        // The stalled detector: parks on a channel that is never sent to,
-        // publisher in hand, until the test releases it at the very end.
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let stalled = {
-            let publisher = publisher.clone();
-            std::thread::spawn(move || {
-                let _wedged = release_rx.recv(); // blocks for the whole test
-                drop(publisher);
-            })
-        };
+    // The stalled detector: parks on a channel that is never sent to,
+    // publisher in hand, until the test releases it at the very end.
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let stalled = {
+        let publisher = publisher.clone();
+        std::thread::spawn(move || {
+            let _wedged = release_rx.recv(); // blocks for the whole test
+            drop(publisher);
+        })
+    };
 
-        // One observation for the stalled pid *did* arrive before the
-        // wedge: its monitor state must stay frozen afterwards.
-        publisher.publish(stalled_pid, Classification::Malicious);
-        e.drain_tick();
-        let frozen_state = e.state(stalled_pid);
-        let frozen_resources = e.resources(stalled_pid);
-        assert_eq!(frozen_state, Some(ProcessState::Suspicious));
+    // One observation for the stalled pid *did* arrive before the
+    // wedge: its monitor state must stay frozen afterwards.
+    publisher.publish(stalled_pid, Classification::Malicious);
+    e.drain_tick();
+    let frozen_state = e.state(stalled_pid);
+    let frozen_resources = e.resources(stalled_pid);
+    assert_eq!(frozen_state, Some(ProcessState::Suspicious));
 
-        // The healthy detector keeps publishing; the driver ticks through
-        // its whole horizon with no regard for the wedged thread.
-        let mut terminated_at = None;
-        for epoch in 0..20u64 {
-            publisher.publish(watched, Classification::Malicious);
-            let responses = e.drain_tick();
-            assert_eq!(responses.len(), 1, "only the healthy verdict arrives");
-            if responses[0].action == Action::Terminate && terminated_at.is_none() {
-                terminated_at = Some(epoch);
-            }
+    // The healthy detector keeps publishing; the driver ticks through
+    // its whole horizon with no regard for the wedged thread.
+    let mut terminated_at = None;
+    for epoch in 0..20u64 {
+        publisher.publish(watched, Classification::Malicious);
+        let responses = e.drain_tick();
+        assert_eq!(responses.len(), 1, "only the healthy verdict arrives");
+        if responses[0].action == Action::Terminate && terminated_at.is_none() {
+            terminated_at = Some(epoch);
         }
-        assert_eq!(e.epoch(), 21, "every epoch ticked on schedule ({mode:?})");
-        // The healthy pid progressed to termination at its N* + 1 = 4th
-        // observation (loop epoch 3).
-        assert_eq!(terminated_at, Some(3), "{mode:?}");
-        // The stalled pid is exactly where its last verdict left it.
-        assert_eq!(e.state(stalled_pid), frozen_state, "{mode:?}");
-        assert_eq!(e.resources(stalled_pid), frozen_resources, "{mode:?}");
-        // Nothing was lost or left queued: every published verdict was
-        // consumed by some tick.
-        let stats = e.ingest_stats().unwrap();
-        assert_eq!(stats.published, 21, "{mode:?}");
-        assert_eq!(stats.drained, 21, "{mode:?}");
-        assert_eq!(stats.queued, 0, "{mode:?}");
-
-        drop(release_tx); // un-wedge the stalled detector so it can exit
-        stalled.join().unwrap();
     }
+    assert_eq!(e.epoch(), 21, "every epoch ticked on schedule");
+    // The healthy pid progressed to termination at its N* + 1 = 4th
+    // observation (loop epoch 3).
+    assert_eq!(terminated_at, Some(3));
+    // The stalled pid is exactly where its last verdict left it.
+    assert_eq!(e.state(stalled_pid), frozen_state);
+    assert_eq!(e.resources(stalled_pid), frozen_resources);
+    // Nothing was lost or left queued: every published verdict was
+    // consumed by some tick.
+    let stats = e.ingest_stats().unwrap();
+    assert_eq!(stats.published, 21);
+    assert_eq!(stats.drained, 21);
+    assert_eq!(stats.queued, 0);
+
+    drop(release_tx); // un-wedge the stalled detector so it can exit
+    stalled.join().unwrap();
 }
 
 #[test]

@@ -2,11 +2,10 @@
 //!
 //! The scaling tier's contract is that sharding is **semantically
 //! invisible**: for any interleaving of pids and classifications, any
-//! batch segmentation, any shard count, and either execution mode
-//! (per-tick scoped threads or the persistent worker pool), `ShardedEngine`
-//! produces exactly the `EngineResponse` sequence a single `EngineShard`
-//! replaying the same observations one at a time would produce — including
-//! when the batches are large enough to take the thread-parallel path.
+//! batch segmentation and any shard count, `ShardedEngine` produces exactly
+//! the `EngineResponse` sequence a single `EngineShard` replaying the same
+//! observations one at a time would produce — including when the batches
+//! take the thread-parallel path.
 
 use proptest::prelude::*;
 use valkyrie::core::prelude::*;
@@ -56,12 +55,10 @@ fn reference_responses(
         .collect()
 }
 
-/// The sharded run: the same observations split into `chunk`-sized batches,
-/// through the given execution mode. A parallel threshold of 0 forces the
-/// spawn path of scoped mode even on one core, so the property also covers
-/// the threaded partition/scatter code (for shard counts above one — a
-/// one-shard scoped engine always runs inline). Pool mode routes every
-/// batch over the worker channels regardless of the threshold.
+/// The sharded run: the same observations split into `chunk`-sized batches.
+/// A parallel threshold of 0 forces the spawn path even on one core, so the
+/// property also covers the threaded partition/scatter code (for shard
+/// counts above one — a one-shard engine always runs inline).
 fn sharded_responses(
     observations: &[(ProcessId, Classification)],
     shards: usize,
@@ -69,9 +66,8 @@ fn sharded_responses(
     n_star: u64,
     cyclic: bool,
     force_spawns: bool,
-    mode: ExecutionMode,
 ) -> Vec<EngineResponse> {
-    let mut engine = ShardedEngine::with_mode(engine_config(n_star, cyclic), shards, 0, mode);
+    let mut engine = ShardedEngine::new(engine_config(n_star, cyclic), shards);
     if force_spawns {
         engine.set_parallel_threshold(0);
     }
@@ -94,9 +90,7 @@ proptest! {
     ) {
         let want = reference_responses(&obs, n_star, cyclic);
         for shards in SHARD_COUNTS {
-            let got = sharded_responses(
-                &obs, shards, chunk, n_star, cyclic, false, ExecutionMode::ScopedSpawn,
-            );
+            let got = sharded_responses(&obs, shards, chunk, n_star, cyclic, false);
             prop_assert_eq!(
                 &got, &want,
                 "shards={}, chunk={}, n_star={}, cyclic={}", shards, chunk, n_star, cyclic
@@ -114,63 +108,37 @@ proptest! {
     ) {
         let want = reference_responses(&obs, n_star, true);
         for shards in SHARD_COUNTS {
-            let got = sharded_responses(
-                &obs, shards, chunk, n_star, true, true, ExecutionMode::ScopedSpawn,
-            );
+            let got = sharded_responses(&obs, shards, chunk, n_star, true, true);
             prop_assert_eq!(&got, &want, "shards={}, chunk={}", shards, chunk);
         }
     }
 
-    /// The persistent worker pool produces the same sequences as the
-    /// sequential reference — same interleavings (repeated pids within a
-    /// batch included), same shard counts, work travelling over the
-    /// worker channels instead of scoped spawns.
+    /// The tick driver agrees with itself across the inline and the
+    /// forced-spawn path over one engine lifetime: same batches, same
+    /// responses, same epoch counter, purge bookkeeping and tracked map.
     #[test]
-    fn pool_mode_is_equivalent_too(
-        obs in interleaving(150),
-        chunk in 1usize..80,
-        n_star in 1u64..16,
-        cyclic in prop::bool::ANY,
-    ) {
-        let want = reference_responses(&obs, n_star, cyclic);
-        for shards in SHARD_COUNTS {
-            let got = sharded_responses(
-                &obs, shards, chunk, n_star, cyclic, false, ExecutionMode::Pool,
-            );
-            prop_assert_eq!(&got, &want, "shards={}, chunk={}", shards, chunk);
-        }
-    }
-
-    /// Pool mode and scoped-spawn mode (with forced spawns) agree with
-    /// each other run-to-run on the same engine lifetime: same batches,
-    /// same responses, same purge bookkeeping via the tick driver.
-    #[test]
-    fn pool_and_scoped_tick_drivers_agree(
+    fn inline_and_spawned_tick_drivers_agree(
         obs in interleaving(150),
         chunk in 4usize..50,
         n_star in 1u64..8,
     ) {
-        let drive = |mode: ExecutionMode, force: bool| {
-            let mut engine =
-                ShardedEngine::with_mode(engine_config(n_star, false), 7, 0, mode);
-            if force {
-                engine.set_parallel_threshold(0);
-            }
+        let drive = |threshold: usize| {
+            let mut engine = ShardedEngine::new(engine_config(n_star, false), 7);
+            engine.set_parallel_threshold(threshold);
             let ticks: Vec<Vec<EngineResponse>> = obs
                 .chunks(chunk)
                 .map(|batch| engine.tick(batch))
                 .collect();
             (ticks, engine.epoch(), engine.purged_total(), engine.tracked())
         };
-        let scoped = drive(ExecutionMode::ScopedSpawn, true);
-        let pooled = drive(ExecutionMode::Pool, false);
-        prop_assert_eq!(&scoped, &pooled);
+        let spawned = drive(0);
+        let inline = drive(usize::MAX);
+        prop_assert_eq!(&spawned, &inline);
     }
 }
 
 /// Two identical runs of the same sharded deployment are bit-identical —
-/// shard placement and batch fan-out introduce no run-to-run variation, in
-/// either execution mode.
+/// shard placement and batch fan-out introduce no run-to-run variation.
 #[test]
 fn identical_runs_are_deterministic() {
     let observations: Vec<(ProcessId, Classification)> = (0..3_000u64)
@@ -184,76 +152,39 @@ fn identical_runs_are_deterministic() {
             (pid, cls)
         })
         .collect();
-    let run = |mode: ExecutionMode| {
-        let mut engine = ShardedEngine::with_mode(engine_config(7, true), 7, 0, mode);
-        engine.set_parallel_threshold(0); // force the threaded path (scoped mode)
+    let run = || {
+        let mut engine = ShardedEngine::new(engine_config(7, true), 7);
+        engine.set_parallel_threshold(0); // force the threaded path
         observations
             .chunks(500)
             .map(|batch| engine.tick(batch))
             .collect::<Vec<_>>()
     };
-    let first = run(ExecutionMode::ScopedSpawn);
-    let second = run(ExecutionMode::ScopedSpawn);
-    assert_eq!(first, second);
-    // Pool runs are deterministic too, and identical to the scoped runs:
-    // worker scheduling cannot reorder per-shard application.
-    let third = run(ExecutionMode::Pool);
-    let fourth = run(ExecutionMode::Pool);
-    assert_eq!(third, fourth);
-    assert_eq!(first, third);
+    assert_eq!(run(), run());
 }
 
 /// The epoch driver's purge keeps the live map bounded while preserving
-/// response correctness for surviving processes — in both execution modes,
-/// with the same persistent engine reused across hundreds of ticks.
+/// response correctness for surviving processes, with the same engine
+/// reused across hundreds of ticks.
 #[test]
 fn tick_driver_bounds_the_map_under_churn() {
-    for mode in [ExecutionMode::ScopedSpawn, ExecutionMode::Pool] {
-        let mut engine = ShardedEngine::with_mode(engine_config(3, false), 4, 0, mode);
-        for epoch in 0..200u64 {
-            // Generations of 50 pids, each attacked every epoch: with N* = 3 a
-            // generation is terminated on its 4th observation and must be
-            // evicted before the next generation arrives.
-            let generation = epoch / 4;
-            let batch: Vec<(ProcessId, Classification)> = (0..50)
-                .map(|i| (ProcessId(generation * 50 + i), Classification::Malicious))
-                .collect();
-            engine.tick(&batch);
-            assert!(
-                engine.tracked() <= 50,
-                "map grew to {} at epoch {epoch} ({mode:?})",
-                engine.tracked()
-            );
-        }
-        assert_eq!(engine.epoch(), 200);
-        assert_eq!(engine.purged_total(), 2_500); // 50 generations of 50 pids
-        assert_eq!(engine.tracked(), engine.tracked_live());
-    }
-}
-
-/// A pooled engine reused across many ticks keeps its workers alive (no
-/// respawn churn is observable through the API: the worker count is stable)
-/// and shuts down gracefully on drop — the drop returns instead of hanging
-/// on un-joined threads, even with work still tracked.
-#[test]
-fn pool_reuse_and_graceful_shutdown_on_drop() {
-    let mut engine = ShardedEngine::with_mode(engine_config(5, true), 7, 0, ExecutionMode::Pool);
-    let workers = engine.pool_workers().expect("pool mode has workers");
-    for epoch in 0..300u64 {
-        let batch: Vec<(ProcessId, Classification)> = (0..64u64)
-            .map(|i| {
-                let cls = if (i + epoch) % 9 == 0 {
-                    Classification::Malicious
-                } else {
-                    Classification::Benign
-                };
-                (ProcessId(i), cls)
-            })
+    let mut engine = ShardedEngine::new(engine_config(3, false), 4);
+    for epoch in 0..200u64 {
+        // Generations of 50 pids, each attacked every epoch: with N* = 3 a
+        // generation is terminated on its 4th observation and must be
+        // evicted before the next generation arrives.
+        let generation = epoch / 4;
+        let batch: Vec<(ProcessId, Classification)> = (0..50)
+            .map(|i| (ProcessId(generation * 50 + i), Classification::Malicious))
             .collect();
         engine.tick(&batch);
-        assert_eq!(engine.pool_workers(), Some(workers), "epoch {epoch}");
+        assert!(
+            engine.tracked() <= 50,
+            "map grew to {} at epoch {epoch}",
+            engine.tracked()
+        );
     }
-    assert_eq!(engine.epoch(), 300);
-    assert!(engine.tracked_live() > 0);
-    drop(engine); // must join all workers and return
+    assert_eq!(engine.epoch(), 200);
+    assert_eq!(engine.purged_total(), 2_500); // 50 generations of 50 pids
+    assert_eq!(engine.tracked(), engine.tracked_live());
 }
